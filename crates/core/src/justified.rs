@@ -13,6 +13,26 @@ use ocqa_data::{Database, Fact};
 use ocqa_logic::{hom, Constraint, ConstraintSet, FactSource, Violation, ViolationSet};
 use std::collections::BTreeSet;
 
+/// The most atoms a constraint's body or TGD head may have for its
+/// justified operations to be enumerable: deletion candidates range over
+/// the non-empty subsets of a violation's body image, and insertion
+/// candidates are checked against every proper subset of a head image.
+pub const MAX_ENUMERABLE_ATOMS: usize = 16;
+
+/// The first constraint of `sigma` whose body or head has more than
+/// [`MAX_ENUMERABLE_ATOMS`] atoms — no repairing walk can enumerate its
+/// operations — as `(index, atoms)`.
+pub fn unenumerable_constraint(sigma: &ConstraintSet) -> Option<(usize, usize)> {
+    sigma.constraints().iter().enumerate().find_map(|(i, c)| {
+        let head = match c {
+            Constraint::Tgd { head, .. } => head.len(),
+            _ => 0,
+        };
+        let atoms = c.body().len().max(head);
+        (atoms > MAX_ENUMERABLE_ATOMS).then_some((i, atoms))
+    })
+}
+
 /// Generates every justified operation for the current instance `db` whose
 /// violations are `violations` (Proposition 1 shapes, each verified against
 /// Definition 3). Returned in canonical order, deduplicated.
@@ -54,7 +74,7 @@ fn deletion_candidates_for(
         return;
     }
     assert!(
-        n <= 16,
+        n <= MAX_ENUMERABLE_ATOMS,
         "violation body image too large to enumerate subsets"
     );
     for mask in 1u32..(1 << n) {
@@ -373,6 +393,23 @@ mod tests {
         let violations = ViolationSet::compute(&sigma, &db);
         assert!(violations.is_empty());
         assert!(justified_operations(&sigma, &base, &db, &violations).is_empty());
+    }
+
+    #[test]
+    fn wide_constraints_are_flagged_unenumerable() {
+        let wide = |n: usize| {
+            let body: Vec<String> = (1..=n).map(|i| format!("R{i}(x)")).collect();
+            parser::parse_constraints(&format!("R(x) -> S(x). {} -> false.", body.join(", ")))
+                .unwrap()
+        };
+        assert_eq!(unenumerable_constraint(&wide(MAX_ENUMERABLE_ATOMS)), None);
+        assert_eq!(
+            unenumerable_constraint(&wide(MAX_ENUMERABLE_ATOMS + 1)),
+            Some((1, MAX_ENUMERABLE_ATOMS + 1))
+        );
+        let head: Vec<String> = (1..=17).map(|i| format!("S{i}(x)")).collect();
+        let sigma = parser::parse_constraints(&format!("R(x) -> {}.", head.join(", "))).unwrap();
+        assert_eq!(unenumerable_constraint(&sigma), Some((0, 17)));
     }
 
     #[test]

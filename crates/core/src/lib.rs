@@ -23,6 +23,9 @@
 //!   (fundamental-matrix cross-check of Proposition 3);
 //! * [`sample`] — the `Sample` random walk and the additive-error
 //!   approximation scheme of Theorem 9 (sequential and multi-threaded);
+//! * [`tree`] — the repairing chain as a lazily memoized tree
+//!   (Proposition 10), so repeated walks over one snapshot reuse each
+//!   node's extensions and draw thresholds;
 //! * [`keyrepair`] — the §5 practical scheme for key violations with
 //!   deletion repairs (`R − R_del` query rewriting, group-wise sampling).
 
@@ -42,6 +45,7 @@ mod operation;
 mod patch;
 pub mod sample;
 mod state;
+pub mod tree;
 
 pub use base::BaseDomain;
 pub use generators::{

@@ -16,14 +16,15 @@
 //! distribution, verified in the tests against the monolithic exploration.
 
 use crate::explore::{self, ExploreError, ExploreOptions, RepairDistribution, RepairInfo};
-use crate::sample::{self, SampleError, SampleTally, WalkOutcome};
+use crate::sample::{self, SampleError, SampleTally};
+use crate::tree::{ChainTree, Leaf, TREE_BUDGET};
 use crate::{ChainGenerator, RepairContext};
 use ocqa_data::{Database, Fact};
 use ocqa_logic::{DeletionOverlay, Query};
 use ocqa_num::Rat;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -256,6 +257,10 @@ pub fn localized_distribution(
 /// Σ-sized component state spaces instead of the Π-sized global one, and
 /// without cloning the full database per walk.
 ///
+/// Each component walks its own [`ChainTree`] for the sampler's
+/// generator, so repeated walks reuse the component's memoized nodes and
+/// a component walk's leaf already is its deletion set.
+///
 /// **Determinism.** Component `c` draws its walks from an RNG seeded with
 /// [`sample::derive_seed`]`(seed, c)`, so the sampled streams are a
 /// function of `(seed, walks)` alone — callers that split a budget into
@@ -264,43 +269,49 @@ pub fn localized_distribution(
 #[derive(Debug)]
 pub struct ComponentSampler {
     parent: Arc<RepairContext>,
-    subs: Vec<Arc<RepairContext>>,
-    /// Each component's fact list, materialized once at build time: the
-    /// walk loop diffs every sampled repair against its component, and
-    /// re-collecting owned facts per walk dominated its allocation
-    /// profile.
-    sub_facts: Vec<Vec<Fact>>,
+    trees: Vec<ChainTree>,
 }
 
 impl ComponentSampler {
-    /// Builds the per-component sub-contexts for `ctx` (one walkable
-    /// [`RepairContext`] per conflict component). Fails unless the
-    /// constraint set is in the denial fragment.
-    pub fn new(ctx: &Arc<RepairContext>) -> Result<ComponentSampler, LocalizeError> {
+    /// Builds one walkable [`RepairContext`] and chain tree per conflict
+    /// component of `ctx`, for `gen`. Fails unless the constraint set is
+    /// in the denial fragment.
+    pub fn new(
+        ctx: &Arc<RepairContext>,
+        gen: Arc<dyn ChainGenerator>,
+    ) -> Result<ComponentSampler, LocalizeError> {
+        ComponentSampler::with_budget(ctx, gen, TREE_BUDGET)
+    }
+
+    /// [`new`](Self::new) with an explicit per-component tree budget.
+    pub fn with_budget(
+        ctx: &Arc<RepairContext>,
+        gen: Arc<dyn ChainGenerator>,
+        budget: usize,
+    ) -> Result<ComponentSampler, LocalizeError> {
         if !ctx.sigma().is_denial_fragment() {
             return Err(LocalizeError::NotDenialFragment);
         }
         let parts = conflict_components(ctx);
-        let subs: Vec<Arc<RepairContext>> = parts
+        let trees = parts
             .components
             .iter()
             .map(|comp| {
                 let sub_db = Database::from_facts(ctx.d0().schema().clone(), comp.iter().cloned())
                     .expect("component facts fit the schema");
-                RepairContext::new(sub_db, ctx.sigma().clone())
+                let sub = RepairContext::new(sub_db, ctx.sigma().clone());
+                ChainTree::with_budget(sub, gen.clone(), budget)
             })
             .collect();
-        let sub_facts = subs.iter().map(|sub| sub.d0().facts().collect()).collect();
         Ok(ComponentSampler {
             parent: ctx.clone(),
-            subs,
-            sub_facts,
+            trees,
         })
     }
 
     /// Number of conflict components (zero for a consistent database).
     pub fn components(&self) -> usize {
-        self.subs.len()
+        self.trees.len()
     }
 
     /// The context this sampler was built from.
@@ -308,52 +319,55 @@ impl ComponentSampler {
         &self.parent
     }
 
-    /// Runs `walks` localized sample walks, evaluating `query` on each
-    /// composed repair and tallying every answer tuple. Deterministic in
-    /// `(seed, walks)`.
+    /// Runs `walks` localized sample walks, evaluating `query` once per
+    /// distinct composed repair and tallying every answer tuple by its
+    /// visit count. Deterministic in `(seed, walks)`.
     pub fn sample_tally(
         &self,
-        gen: &dyn ChainGenerator,
         query: &Query,
         walks: u64,
         seed: u64,
     ) -> Result<SampleTally, SampleError> {
-        let mut rngs: Vec<StdRng> = (0..self.subs.len())
+        let mut rngs: Vec<StdRng> = (0..self.trees.len())
             .map(|c| StdRng::seed_from_u64(sample::derive_seed(seed, c as u64)))
             .collect();
         let mut tally = SampleTally {
             walks,
             ..SampleTally::default()
         };
-        // Reused across walks: the composed deletion set and the
-        // prebuilt per-component fact lists — the walk loop allocates
-        // only for facts a repair actually deleted.
-        let mut deleted: HashSet<Fact> = HashSet::new();
+        // Composed walks keyed by their component leaves' addresses; the
+        // map holds the leaves alive, so no address is reused meanwhile.
+        let mut visits: HashMap<Vec<*const Leaf>, (Vec<Arc<Leaf>>, u64)> = HashMap::new();
         for _ in 0..walks {
+            let leaves = self
+                .trees
+                .iter()
+                .zip(&mut rngs)
+                .map(|(tree, rng)| tree.walk(rng, &mut tally.counters))
+                .collect::<Result<Vec<_>, _>>()?;
+            let key = leaves.iter().map(Arc::as_ptr).collect();
+            visits.entry(key).or_insert((leaves, 0)).1 += 1;
+        }
+        let mut deleted: HashSet<Fact> = HashSet::new();
+        for (leaves, n) in visits.into_values() {
             deleted.clear();
-            let mut walk_failed = false;
-            for ((sub, facts), rng) in self.subs.iter().zip(&self.sub_facts).zip(&mut rngs) {
-                match sample::sample_walk(sub, gen, rng)? {
-                    WalkOutcome::Repair(db) => {
-                        for fact in facts {
-                            if !db.contains(fact) {
-                                deleted.insert(fact.clone());
-                            }
-                        }
-                    }
+            let mut failed = false;
+            for leaf in &leaves {
+                match &**leaf {
+                    Leaf::Repair { removed, .. } => deleted.extend(removed.iter().cloned()),
                     // Unreachable for denial-fragment sets (deletion-only
                     // chains cannot fail), but kept sound: a failing
                     // component fails the composed walk.
-                    WalkOutcome::Failed(_) => walk_failed = true,
+                    Leaf::Failed => failed = true,
                 }
             }
-            if walk_failed {
-                tally.failed_walks += 1;
+            if failed {
+                tally.failed_walks += n;
                 continue;
             }
             let view = DeletionOverlay::new(self.parent.d0(), &deleted);
             for tuple in query.answers(&view) {
-                *tally.counts.entry(tuple).or_insert(0) += 1;
+                *tally.counts.entry(tuple).or_insert(0) += n;
             }
         }
         Ok(tally)
@@ -362,17 +376,17 @@ impl ComponentSampler {
 
 /// One-shot convenience: builds a [`ComponentSampler`] and runs `walks`
 /// localized walks (callers serving many requests should build the sampler
-/// once per database version and call
+/// once per database version and generator and call
 /// [`ComponentSampler::sample_tally`] directly).
 pub fn localized_sample_tally(
     ctx: &Arc<RepairContext>,
-    gen: &dyn ChainGenerator,
+    gen: Arc<dyn ChainGenerator>,
     query: &Query,
     walks: u64,
     seed: u64,
 ) -> Result<SampleTally, LocalizeError> {
-    let sampler = ComponentSampler::new(ctx)?;
-    Ok(sampler.sample_tally(gen, query, walks, seed)?)
+    let sampler = ComponentSampler::new(ctx, gen)?;
+    Ok(sampler.sample_tally(query, walks, seed)?)
 }
 
 #[cfg(test)]
@@ -510,9 +524,9 @@ mod tests {
             crate::answer::conditional_probability(&exact, &q, &[ocqa_data::Constant::named(name)])
                 .to_f64()
         };
-        let sampler = ComponentSampler::new(&ctx).unwrap();
+        let sampler = ComponentSampler::new(&ctx, Arc::new(gen)).unwrap();
         assert_eq!(sampler.components(), 2);
-        let tally = sampler.sample_tally(&gen, &q, 2000, 11).unwrap();
+        let tally = sampler.sample_tally(&q, 2000, 11).unwrap();
         assert_eq!(tally.walks, 2000);
         assert_eq!(tally.failed_walks, 0);
         for (tuple, p) in tally.frequencies() {
@@ -538,28 +552,33 @@ mod tests {
             "R(a,1). R(a,2). R(b,1). R(b,2).",
             "R(x,y), R(x,z) -> y = z.",
         );
-        let gen = UniformGenerator::new();
+        let gen: Arc<dyn ChainGenerator> = Arc::new(UniformGenerator::new());
         let q = parser::parse_query("(x) <- exists y: R(x, y)").unwrap();
-        let sampler = ComponentSampler::new(&ctx).unwrap();
-        let a = sampler.sample_tally(&gen, &q, 300, 7).unwrap();
-        let b = sampler.sample_tally(&gen, &q, 300, 7).unwrap();
+        let sampler = ComponentSampler::new(&ctx, gen.clone()).unwrap();
+        let a = sampler.sample_tally(&q, 300, 7).unwrap();
+        let b = sampler.sample_tally(&q, 300, 7).unwrap();
         assert_eq!(a.counts, b.counts, "same seed, same tally");
-        let c = sampler.sample_tally(&gen, &q, 300, 8).unwrap();
+        assert_eq!(b.counters.cached_steps, b.counters.steps, "warm trees");
+        let c = sampler.sample_tally(&q, 300, 8).unwrap();
         assert_ne!(a.counts, c.counts, "seed must matter");
-        // The one-shot helper agrees with the prebuilt sampler.
-        let d = localized_sample_tally(&ctx, &gen, &q, 300, 7).unwrap();
+        // The one-shot helper and an uncached sampler agree with it.
+        let d = localized_sample_tally(&ctx, gen.clone(), &q, 300, 7).unwrap();
         assert_eq!(a.counts, d.counts);
+        let e = ComponentSampler::with_budget(&ctx, gen, 0)
+            .unwrap()
+            .sample_tally(&q, 300, 7)
+            .unwrap();
+        assert_eq!(a.counts, e.counts);
+        assert_eq!(e.counters.cached_steps, 0);
     }
 
     #[test]
     fn sampler_on_consistent_database() {
         let ctx = setup("R(a,1). R(b,2).", "R(x,y), R(x,z) -> y = z.");
-        let sampler = ComponentSampler::new(&ctx).unwrap();
+        let sampler = ComponentSampler::new(&ctx, Arc::new(UniformGenerator::new())).unwrap();
         assert_eq!(sampler.components(), 0);
         let q = parser::parse_query("(x) <- exists y: R(x, y)").unwrap();
-        let tally = sampler
-            .sample_tally(&UniformGenerator::new(), &q, 10, 0)
-            .unwrap();
+        let tally = sampler.sample_tally(&q, 10, 0).unwrap();
         let freqs = tally.frequencies();
         assert_eq!(freqs.len(), 2);
         assert!(freqs.iter().all(|(_, p)| *p == 1.0));
@@ -569,7 +588,7 @@ mod tests {
     fn sampler_rejects_tgds() {
         let ctx = setup("T(a,b).", "T(x,y) -> R(x,y).");
         assert!(matches!(
-            ComponentSampler::new(&ctx),
+            ComponentSampler::new(&ctx, Arc::new(UniformGenerator::new())),
             Err(LocalizeError::NotDenialFragment)
         ));
     }

@@ -15,11 +15,22 @@
 //! tracks failed walks explicitly so callers can detect the situation (the
 //! paper leaves the failing case open, §6 "Approximation for Insertions
 //! and Deletions").
+//!
+//! **The exact-threshold draw.** A step draws a uniform `u64 r` and picks
+//! the first extension `i` whose cumulative weight `acc_i = w_0 + … + w_i`
+//! exceeds `r / 2⁶⁴` — compared exactly, with no floating-point bias.
+//! Since `r` is an integer, `r / 2⁶⁴ < acc_i` holds iff
+//! `r < ⌈acc_i · 2⁶⁴⌉`, and `acc_i ≤ 1` keeps that bound within `u128`. So
+//! [`draw_thresholds`] turns a node's exact rational weights into integer
+//! thresholds once, and every draw at that node is an integer search
+//! ([`draw`]) that picks the same index the rational comparison would.
+//! [`crate::tree::ChainTree`] stores the thresholds per node, which makes
+//! a memoized step bit-identical to a fresh one.
 
 use crate::{ChainGenerator, GeneratorError, RepairContext, RepairState};
 use ocqa_data::{Constant, Database};
 use ocqa_logic::Query;
-use ocqa_num::{IBig, Rat};
+use ocqa_num::Rat;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
@@ -91,7 +102,9 @@ pub enum WalkOutcome {
 }
 
 /// Runs one `Sample` walk: draws operations per the generator until the
-/// sequence is complete.
+/// sequence is complete. The reference walk: [`crate::tree::ChainTree`]
+/// memoizes exactly these steps and must reach the same leaf for the same
+/// RNG.
 pub fn sample_walk(
     ctx: &Arc<RepairContext>,
     gen: &dyn ChainGenerator,
@@ -107,34 +120,39 @@ pub fn sample_walk(
                 WalkOutcome::Failed(state.db().clone())
             });
         }
-        let weights = gen.validated(&state, &exts)?;
-        let idx = draw_index(&weights, rng);
+        let thresholds = draw_thresholds(&gen.validated(&state, &exts)?);
+        let idx = draw(&thresholds, rng.next_u64());
         state = state.apply(&exts[idx]);
     }
 }
 
-/// Draws an index with probability proportional to the (exact) weights.
-/// The random threshold is `r / 2⁶⁴` for a uniform `u64 r`, compared
-/// against exact cumulative sums — no floating-point bias.
-fn draw_index(weights: &[Rat], rng: &mut StdRng) -> usize {
-    let r = rng.next_u64();
-    let threshold = Rat::new(
-        IBig::from(r),
-        IBig::from(ocqa_num::UBig::one().shl_bits(64)),
-    );
+/// The integer draw thresholds `⌈acc_i · 2⁶⁴⌉` of a validated weight
+/// vector (non-negative, summing to 1), one per cumulative sum `acc_i`.
+pub fn draw_thresholds(weights: &[Rat]) -> Vec<u128> {
     let mut acc = Rat::zero();
-    for (i, w) in weights.iter().enumerate() {
-        acc += w;
-        if threshold < acc {
-            return i;
-        }
-    }
-    // Only reachable through rounding of a sub-1 total; pick the last
-    // positive weight.
     weights
         .iter()
-        .rposition(|w| w.is_positive())
-        .expect("at least one positive weight")
+        .map(|w| {
+            acc += w;
+            let scaled = acc.numer().magnitude().shl_bits(64);
+            let (q, r) = scaled.div_rem(acc.denom());
+            let q = q.to_u128().expect("a probability scales within u128");
+            if r.is_zero() {
+                q
+            } else {
+                q + 1
+            }
+        })
+        .collect()
+}
+
+/// The index a uniform `r` selects: the first `i` with
+/// `r < thresholds[i]`. The last threshold of a distribution is `2⁶⁴`, so
+/// some index always qualifies.
+pub fn draw(thresholds: &[u128], r: u64) -> usize {
+    let i = thresholds.partition_point(|t| *t <= u128::from(r));
+    debug_assert!(i < thresholds.len(), "weights sum to 1");
+    i
 }
 
 /// An additive-error estimate of `CP(t̄)`.
@@ -292,6 +310,30 @@ pub struct SampleTally {
     pub walks: u64,
     /// Walks that ended in a failing complete sequence.
     pub failed_walks: u64,
+    /// How the walks were served (diagnostics only: unlike the fields
+    /// above, they depend on how warm a memoized chain tree was).
+    pub counters: WalkCounters,
+}
+
+/// Chain-walk work behind a tally.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkCounters {
+    /// Chain steps taken (one draw each).
+    pub steps: u64,
+    /// Steps drawn from a memoized tree node instead of a fresh
+    /// extension enumeration.
+    pub cached_steps: u64,
+    /// Tree nodes the walks computed and stored.
+    pub nodes_built: u64,
+}
+
+impl WalkCounters {
+    /// Adds `other` into `self`.
+    pub fn add(&mut self, other: &WalkCounters) {
+        self.steps += other.steps;
+        self.cached_steps += other.cached_steps;
+        self.nodes_built += other.nodes_built;
+    }
 }
 
 impl SampleTally {
@@ -302,6 +344,7 @@ impl SampleTally {
         }
         self.walks += other.walks;
         self.failed_walks += other.failed_walks;
+        self.counters.add(&other.counters);
     }
 
     /// Per-tuple hit frequencies over **all** walks, failed ones included
@@ -474,12 +517,70 @@ mod tests {
         sample_size(0.0, 0.1);
     }
 
+    /// The rational comparison the integer thresholds replace: the
+    /// first `i` with `r / 2⁶⁴ < w_0 + … + w_i`.
+    fn draw_index(weights: &[Rat], r: u64) -> usize {
+        let threshold = Rat::new(
+            ocqa_num::IBig::from(r),
+            ocqa_num::IBig::from(ocqa_num::UBig::one().shl_bits(64)),
+        );
+        let mut acc = Rat::zero();
+        for (i, w) in weights.iter().enumerate() {
+            acc += w;
+            if threshold < acc {
+                return i;
+            }
+        }
+        unreachable!("weights sum to 1")
+    }
+
     #[test]
-    fn draw_index_respects_point_mass() {
+    fn draw_respects_point_mass() {
         let mut rng = StdRng::seed_from_u64(7);
-        let w = vec![Rat::zero(), Rat::one(), Rat::zero()];
+        let t = draw_thresholds(&[Rat::zero(), Rat::one(), Rat::zero()]);
+        assert_eq!(t, vec![0, 1 << 64, 1 << 64]);
         for _ in 0..50 {
-            assert_eq!(draw_index(&w, &mut rng), 1);
+            assert_eq!(draw(&t, rng.next_u64()), 1);
+        }
+    }
+
+    #[test]
+    fn integer_draw_matches_the_rational_comparison() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let vectors = vec![
+            vec![Rat::ratio(1, 3); 3],
+            vec![Rat::ratio(1, 7), Rat::ratio(2, 7), Rat::ratio(4, 7)],
+            vec![
+                Rat::ratio(1, 2),
+                Rat::zero(),
+                Rat::ratio(1, 4),
+                Rat::ratio(1, 4),
+            ],
+            vec![
+                Rat::ratio(3, 11),
+                Rat::ratio(5, 13),
+                Rat::ratio(1, 1) - Rat::ratio(3, 11) - Rat::ratio(5, 13),
+            ],
+            vec![Rat::one()],
+        ];
+        for w in &vectors {
+            let t = draw_thresholds(w);
+            assert_eq!(*t.last().unwrap(), 1u128 << 64);
+            // Each threshold and its neighbours are where an off-by-one
+            // in the ceiling would show.
+            let mut probes: Vec<u64> = vec![0, u64::MAX];
+            for &b in &t {
+                for d in [-1i128, 0, 1] {
+                    let p = b as i128 + d;
+                    if (0..=u64::MAX as i128).contains(&p) {
+                        probes.push(p as u64);
+                    }
+                }
+            }
+            probes.extend((0..2000).map(|_| rng.next_u64()));
+            for r in probes {
+                assert_eq!(draw(&t, r), draw_index(w, r), "r = {r}, w = {w:?}");
+            }
         }
     }
 

@@ -160,6 +160,18 @@ impl RepairState {
         self.steps.len()
     }
 
+    /// Facts deleted so far (all from `D`: no cancellation forbids
+    /// deleting an inserted fact).
+    pub fn removed(&self) -> &BTreeSet<Fact> {
+        &self.removed
+    }
+
+    /// Facts inserted so far (none from `D`: justified insertions add only
+    /// missing facts, and no cancellation forbids re-adding deleted ones).
+    pub fn added(&self) -> &BTreeSet<Fact> {
+        &self.added
+    }
+
     /// The current violation set `V(D^s_i, Σ)`.
     pub fn violations(&self) -> &ViolationSet {
         &self.violations

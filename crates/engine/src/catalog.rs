@@ -16,7 +16,7 @@
 use crate::error::EngineError;
 use crate::planner::{classify, DbPlan, DbStats, PlanKind};
 use crate::storage::{InstallImage, RestoredDatabase, UpdateDelta};
-use ocqa_core::RepairContext;
+use ocqa_core::{justified, RepairContext};
 use ocqa_data::{Database, Fact};
 use ocqa_logic::{incremental, parser, ConstraintSet, ViolationSet};
 use parking_lot::Mutex;
@@ -113,6 +113,7 @@ impl ParsedDatabase {
             parser::parse_facts(facts_src).map_err(|e| EngineError::Parse(e.to_string()))?;
         let sigma = parser::parse_constraints(constraints_src)
             .map_err(|e| EngineError::Parse(e.to_string()))?;
+        check_enumerable(&sigma)?;
         let schema =
             parser::infer_schema(&facts, &sigma).map_err(|e| EngineError::Parse(e.to_string()))?;
         let db =
@@ -124,6 +125,20 @@ impl ParsedDatabase {
             violations,
             constraints_src: constraints_src.to_string(),
         })
+    }
+}
+
+/// Refuses constraint sets no repairing walk can enumerate
+/// ([`justified::unenumerable_constraint`]): accepted, they would make
+/// every later `answer` on the database fail inside the sampler.
+pub fn check_enumerable(sigma: &ConstraintSet) -> Result<(), EngineError> {
+    match justified::unenumerable_constraint(sigma) {
+        None => Ok(()),
+        Some((i, atoms)) => Err(EngineError::ConstraintTooWide {
+            constraint: sigma.get(i).to_string(),
+            atoms,
+            limit: justified::MAX_ENUMERABLE_ATOMS,
+        }),
     }
 }
 

@@ -890,6 +890,61 @@ mod tests {
     }
 
     #[test]
+    fn constraints_no_walk_can_enumerate_are_refused_at_install() {
+        let e = engine();
+        let atoms: Vec<String> = (1..=17).map(|i| format!("R{i}(x)")).collect();
+        let facts: String = (1..=17).map(|i| format!("R{i}(a). ")).collect();
+        let wide = format!("{} -> false.", atoms.join(", "));
+        let create = |constraints: &str| {
+            Json::obj([
+                ("op", Json::from("create_db")),
+                ("name", Json::from("wide")),
+                ("facts", Json::from(facts.as_str())),
+                ("constraints", Json::from(constraints)),
+            ])
+            .to_string()
+        };
+        let refused = e.handle_line(&create(&wide));
+        assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(refused.get("limit").and_then(Json::as_u64), Some(16));
+        let named = refused.get("constraint").and_then(Json::as_str).unwrap();
+        assert!(named.contains("R17(x)"), "{refused}");
+        let listed = || e.handle_line(r#"{"op":"list"}"#).to_string();
+        assert!(!listed().contains("\"wide\""), "nothing installed");
+
+        // A snapshot image carrying the same set is refused before it is
+        // journaled; sixteen atoms are still fine.
+        let narrow = format!("{} -> false.", atoms[..16].join(", "));
+        let made = e.handle_line(&create(&narrow));
+        assert_eq!(made.get("ok").and_then(Json::as_bool), Some(true), "{made}");
+        let fetched = e.handle_line(r#"{"op":"fetch_snapshot","db":"wide"}"#);
+        let mut img =
+            crate::transfer::decode_image(fetched.get("image").and_then(Json::as_str).unwrap())
+                .unwrap();
+        img.constraints = wide.clone();
+        let dropped = e.handle_line(r#"{"op":"drop_db","name":"wide"}"#);
+        assert_eq!(dropped.get("ok").and_then(Json::as_bool), Some(true));
+        let install = Json::obj([
+            ("op", Json::from("install_snapshot")),
+            ("db", Json::from("wide")),
+            ("image", Json::from(crate::transfer::encode_image(&img))),
+        ])
+        .to_string();
+        let refused = e.handle_line(&install);
+        assert_eq!(
+            refused.get("limit").and_then(Json::as_u64),
+            Some(16),
+            "{refused}"
+        );
+        assert!(!listed().contains("\"wide\""));
+        let answer = r#"{"op":"answer","db":"wide","query":"(x) <- R1(x)"}"#;
+        assert!(e
+            .handle_line(answer)
+            .to_string()
+            .contains("unknown database"));
+    }
+
+    #[test]
     fn bad_inputs_are_reported_not_panicked() {
         let e = engine();
         assert!(matches!(

@@ -35,6 +35,18 @@ pub enum EngineError {
         /// The human-readable explanation.
         message: String,
     },
+    /// A constraint has more body or head atoms than a repairing walk can
+    /// enumerate subsets of; refused at install so no later `answer`
+    /// trips over it. Rendered with structured `constraint`/`limit`
+    /// fields.
+    ConstraintTooWide {
+        /// The offending constraint, as rendered by the parser.
+        constraint: String,
+        /// Its atom count (the larger of body and head).
+        atoms: usize,
+        /// The enumerable maximum.
+        limit: usize,
+    },
     /// The storage backend failed to journal or recover state.
     Storage(String),
     /// The owning shard is at its concurrent-sampling admission limit;
@@ -68,6 +80,15 @@ impl fmt::Display for EngineError {
             EngineError::Schema(msg) => write!(f, "schema error: {msg}"),
             EngineError::Sampling(msg) => write!(f, "sampling error: {msg}"),
             EngineError::PlanRejected { message, .. } => write!(f, "bad request: {message}"),
+            EngineError::ConstraintTooWide {
+                constraint,
+                atoms,
+                limit,
+            } => write!(
+                f,
+                "bad request: constraint {constraint:?} has {atoms} atoms; repairing walks \
+                 enumerate subsets of at most {limit}"
+            ),
             EngineError::Storage(msg) => write!(f, "storage error: {msg}"),
             EngineError::ShardFull(shard) => write!(
                 f,

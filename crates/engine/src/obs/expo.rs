@@ -18,7 +18,7 @@
 //! small.
 
 use super::hist::{bucket_bound, HistSnapshot, BUCKETS};
-use super::{MetricsSnapshot, Op, Stage, PLANS};
+use super::{ChainCounts, MetricsSnapshot, Op, Stage, PLANS};
 use crate::json::Json;
 use crate::server::LineService;
 use std::fmt::Write as _;
@@ -146,6 +146,9 @@ fn render_metrics(out: &mut String, metrics: &Json) {
     let _ = writeln!(out, "# TYPE ocqa_shard_subscriptions gauge");
     let _ = writeln!(out, "# TYPE ocqa_wal_batch_records histogram");
     let _ = writeln!(out, "# TYPE ocqa_wal_fsync_latency_us histogram");
+    for (key, _) in ChainCounts::default().fields() {
+        let _ = writeln!(out, "# TYPE ocqa_chain_{key}_total counter");
+    }
     for entry in shards {
         let shard = entry.get("shard").and_then(Json::as_u64).unwrap_or(0);
         let Ok(snap) = MetricsSnapshot::from_json(entry) else {
@@ -176,6 +179,17 @@ fn render_metrics(out: &mut String, metrics: &Json) {
             shard,
             &snap.push,
         );
+        // Chain-walk counters per plan: the share of steps served from
+        // memoized chain trees is cached_steps / steps.
+        for (plan, c) in PLANS.iter().zip(&snap.chain) {
+            for (key, n) in c.fields() {
+                let _ = writeln!(
+                    out,
+                    "ocqa_chain_{key}_total{{plan=\"{}\",shard=\"{shard}\"}} {n}",
+                    plan.as_str()
+                );
+            }
+        }
         let _ = writeln!(
             out,
             "ocqa_subs_shed_total{{shard=\"{shard}\"}} {}",

@@ -11,7 +11,8 @@
 //!   never changes the merged document);
 //! * [`ShardMetrics`] — the per-shard registry: one histogram per
 //!   protocol operation, per answer plan, and per hot-path stage
-//!   (cache lookup, single-flight wait, sampling walk, WAL append);
+//!   (cache lookup, single-flight wait, sampling walk, WAL append), plus
+//!   per-plan chain-walk counters ([`ChainCounts`]);
 //! * [`trace`] — `--slow-ms` structured NDJSON trace events on stderr,
 //!   one per slow request, with the stage breakdown and chosen plan;
 //! * [`expo`] — the `--metrics-addr` plain-text Prometheus exposition
@@ -37,6 +38,7 @@ pub use trace::SlowLog;
 
 use crate::json::Json;
 use crate::planner::PlanKind;
+use ocqa_core::sample::SampleTally;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -133,6 +135,63 @@ fn plan_index(plan: PlanKind) -> usize {
     }
 }
 
+/// Chain-walk work of one plan's sampled answers: how much of it memoized
+/// chain trees served. Counts cover leader sampling runs only (cache hits
+/// and coalesced followers walk nothing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ChainCounts {
+    /// Tree nodes computed and stored.
+    pub nodes_built: u64,
+    /// Chain steps walked.
+    pub steps: u64,
+    /// Steps drawn from an already stored tree node.
+    pub cached_steps: u64,
+    /// Walks that ended in a failing sequence.
+    pub failed_walks: u64,
+}
+
+impl ChainCounts {
+    /// The counters under their JSON keys, in rendering order.
+    pub fn fields(&self) -> [(&'static str, u64); 4] {
+        [
+            ("cached_steps", self.cached_steps),
+            ("failed_walks", self.failed_walks),
+            ("nodes_built", self.nodes_built),
+            ("steps", self.steps),
+        ]
+    }
+
+    fn merge(&mut self, other: &ChainCounts) {
+        self.nodes_built += other.nodes_built;
+        self.steps += other.steps;
+        self.cached_steps += other.cached_steps;
+        self.failed_walks += other.failed_walks;
+    }
+
+    fn to_json(self) -> Json {
+        Json::Obj(
+            self.fields()
+                .into_iter()
+                .map(|(key, n)| (key.to_string(), Json::from(n)))
+                .collect(),
+        )
+    }
+
+    fn from_json(v: &Json) -> Result<ChainCounts, String> {
+        let get = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing {key:?}"))
+        };
+        Ok(ChainCounts {
+            nodes_built: get("nodes_built")?,
+            steps: get("steps")?,
+            cached_steps: get("cached_steps")?,
+            failed_walks: get("failed_walks")?,
+        })
+    }
+}
+
 /// The per-shard metrics registry: fixed histogram arrays, recorded
 /// lock-free on the serving paths.
 #[derive(Debug, Default)]
@@ -140,6 +199,8 @@ pub struct ShardMetrics {
     ops: [Histogram; Op::ALL.len()],
     plans: [Histogram; PLANS.len()],
     stages: [Histogram; Stage::ALL.len()],
+    /// Per-plan chain counters, in [`ChainCounts::fields`] order.
+    chain: [[AtomicU64; 4]; PLANS.len()],
     /// Streaming push path: update commit → estimate frame enqueued
     /// (includes the re-estimate's sampling or cache hit).
     push: Histogram,
@@ -168,6 +229,20 @@ impl ShardMetrics {
         self.stages[stage as usize].record(elapsed);
     }
 
+    /// Adds a sampled answer's chain-walk work under its serving plan.
+    pub fn record_chain(&self, plan: PlanKind, tally: &SampleTally) {
+        let c = &tally.counters;
+        let delta = ChainCounts {
+            nodes_built: c.nodes_built,
+            steps: c.steps,
+            cached_steps: c.cached_steps,
+            failed_walks: tally.failed_walks,
+        };
+        for (slot, (_, n)) in self.chain[plan_index(plan)].iter().zip(delta.fields()) {
+            slot.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
     /// Records one subscriber push's latency (update commit → frame
     /// enqueued).
     pub fn record_push(&self, elapsed: Duration) {
@@ -188,6 +263,16 @@ impl ShardMetrics {
             ops: std::array::from_fn(|i| self.ops[i].snapshot()),
             plans: std::array::from_fn(|i| self.plans[i].snapshot()),
             stages: std::array::from_fn(|i| self.stages[i].snapshot()),
+            chain: std::array::from_fn(|i| {
+                let [cached_steps, failed_walks, nodes_built, steps] =
+                    std::array::from_fn(|k| self.chain[i][k].load(Ordering::Relaxed));
+                ChainCounts {
+                    nodes_built,
+                    steps,
+                    cached_steps,
+                    failed_walks,
+                }
+            }),
             push: self.push.snapshot(),
             shed: self.shed.load(Ordering::Relaxed),
             subscriptions: 0,
@@ -207,6 +292,8 @@ pub struct MetricsSnapshot {
     pub plans: [HistSnapshot; PLANS.len()],
     /// Per-stage hot-path latency, indexed like [`Stage::ALL`].
     pub stages: [HistSnapshot; Stage::ALL.len()],
+    /// Per-plan chain-walk counters, indexed like [`PLANS`].
+    pub chain: [ChainCounts; PLANS.len()],
     /// Streaming push latency (update commit → estimate frame enqueued).
     pub push: HistSnapshot,
     /// Estimate frames shed from slow consumers' session queues.
@@ -234,6 +321,9 @@ impl MetricsSnapshot {
         for (a, b) in self.stages.iter_mut().zip(&other.stages) {
             a.merge(b);
         }
+        for (a, b) in self.chain.iter_mut().zip(&other.chain) {
+            a.merge(b);
+        }
         self.push.merge(&other.push);
         self.shed += other.shed;
         self.subscriptions += other.subscriptions;
@@ -258,7 +348,15 @@ impl MetricsSnapshot {
         let op_labels: Vec<&'static str> = Op::ALL.iter().map(|o| o.as_str()).collect();
         let plan_labels: Vec<&'static str> = PLANS.iter().map(|p| p.as_str()).collect();
         let stage_labels: Vec<&'static str> = Stage::ALL.iter().map(|s| s.as_str()).collect();
+        let chain = Json::Obj(
+            plan_labels
+                .iter()
+                .zip(&self.chain)
+                .map(|(label, c)| (label.to_string(), c.to_json()))
+                .collect(),
+        );
         Json::obj([
+            ("chain", chain),
             ("ops", family(&op_labels, &self.ops)),
             ("plans", family(&plan_labels, &self.plans)),
             ("push", self.push.to_json()),
@@ -302,7 +400,16 @@ impl MetricsSnapshot {
             )
             .map_err(|e| format!("{key}: {e}"))
         };
+        let chain_obj = v.get("chain").ok_or("metrics missing \"chain\"")?;
+        let mut chain = [ChainCounts::default(); PLANS.len()];
+        for (slot, plan) in chain.iter_mut().zip(PLANS) {
+            let c = chain_obj
+                .get(plan.as_str())
+                .ok_or_else(|| format!("metrics \"chain\" missing {:?}", plan.as_str()))?;
+            *slot = ChainCounts::from_json(c).map_err(|e| format!("chain.{plan}: {e}"))?;
+        }
         Ok(MetricsSnapshot {
+            chain,
             ops: parse_family(v, "ops", Op::ALL.map(|o| o.as_str()))?,
             plans: parse_family(v, "plans", PLANS.map(|p| p.as_str()))?,
             stages: parse_family(v, "stages", Stage::ALL.map(|s| s.as_str()))?,
@@ -329,6 +436,14 @@ mod tests {
             m.record_push(d);
         }
         m.record_shed();
+        let mut tally = SampleTally {
+            failed_walks: seed % 5,
+            ..SampleTally::default()
+        };
+        tally.counters.steps = seed * 7;
+        tally.counters.cached_steps = seed * 3;
+        tally.counters.nodes_built = seed;
+        m.record_chain(PLANS[(seed as usize) % PLANS.len()], &tally);
         let mut snap = m.snapshot();
         snap.subscriptions = seed % 3;
         // Stamp WAL commit stats the way a shard does from its backend.
@@ -389,6 +504,8 @@ mod tests {
             "\"subscriptions\"",
             "\"wal_batch\"",
             "\"wal_fsync_us\"",
+            "\"chain\"",
+            "\"cached_steps\"",
         ] {
             assert!(empty.contains(label), "{label} missing from {empty}");
         }
@@ -405,6 +522,12 @@ mod tests {
         // And for the WAL group-commit histograms.
         let mut v = crate::json::parse(&rendered).unwrap();
         v.remove("wal_fsync_us");
+        assert!(MetricsSnapshot::from_json(&v).is_err());
+        // And for a chain counter.
+        let mut v = crate::json::parse(&rendered).unwrap();
+        if let Some(c) = v.get_mut("chain").and_then(|c| c.get_mut("monolithic")) {
+            c.remove("steps");
+        }
         assert!(MetricsSnapshot::from_json(&v).is_err());
     }
 }

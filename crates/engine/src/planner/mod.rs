@@ -15,7 +15,12 @@
 //!   space ([`ComponentSampler`]) instead of the Π-sized global one, and
 //!   per-walk repairs compose as `D − deletions` under an overlay.
 //! * **monolithic** — everything else (TGDs present), or any generator
-//!   that is not component-local: the full chain walk of PR 1.
+//!   that is not component-local: the full chain walk.
+//!
+//! Both walking routes descend memoized [`ChainTree`]s — one per
+//! (database version, generator string), or one per component for the
+//! localized route — so every answer at one version, whatever its seed,
+//! ε, δ or query, reuses the nodes earlier answers computed.
 //!
 //! Classification is structural (a function of `Σ` alone) and happens at
 //! install time; the data-dependent plan artifacts (component
@@ -46,7 +51,8 @@ pub use stats::DbStats;
 use crate::error::EngineError;
 use ocqa_core::keyrepair::{GroupPolicy, KeyConfig, KeyRepairSampler};
 use ocqa_core::localize::ComponentSampler;
-use ocqa_core::sample::{self, SampleTally};
+use ocqa_core::sample::SampleTally;
+use ocqa_core::tree::ChainTree;
 use ocqa_core::{ChainGenerator, RepairContext};
 use ocqa_logic::{ConstraintSet, Query};
 use parking_lot::Mutex;
@@ -115,17 +121,16 @@ pub struct KeyRepairExec {
 }
 
 /// A database's answer plan for one version: the structural
-/// classification plus the samplers backing the fast paths. Cached per
+/// classification plus the samplers backing every route. Cached per
 /// catalog entry and rebuilt after every effective update, like the
-/// sampling snapshot.
+/// sampling snapshot — an update drops the old version's samplers and
+/// chain trees with the old plan.
 ///
 /// Classification is computed up front (it is a cheap function of `Σ`);
-/// the data-dependent sampler artifacts — conflict-component
+/// the data-dependent sampler artifacts — chain trees, conflict-component
 /// sub-contexts, violating key groups with their exact outcome
-/// distributions — are built lazily, memoized per route, the first time
-/// a request actually takes that route. A monolithic-only workload (the
-/// planner disabled, or non-component-local generators) therefore never
-/// pays for them, however often the database is updated.
+/// distributions — are built lazily, memoized per route and generator,
+/// the first time a request actually takes that route.
 pub struct DbPlan {
     kind: PlanKind,
     /// Whether `Σ` is in the denial fragment — the `localized` route is
@@ -140,8 +145,13 @@ pub struct DbPlan {
     /// Conflict-structure statistics of this snapshot (catalog-maintained;
     /// recomputed here only when a plan is built outside a catalog).
     stats: DbStats,
-    /// Memoized localized sampler (built on first localized route).
-    localized: Mutex<Option<Arc<ComponentSampler>>>,
+    /// Memoized monolithic chain trees, one per generator string (the
+    /// request's name for it: `trust:1/2` and `trust:3/4` weigh
+    /// differently under one generator name).
+    trees: Mutex<Vec<(String, Arc<ChainTree>)>>,
+    /// Memoized localized samplers (per-component chain trees), keyed
+    /// like `trees`.
+    localized: Mutex<Vec<(String, Arc<ComponentSampler>)>>,
     /// Memoized key-repair state, one entry per distinct group policy
     /// (different generators may carry different policies; the list stays
     /// as short as the set of policies actually served).
@@ -152,9 +162,10 @@ impl fmt::Debug for DbPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "DbPlan({}, components={:?}, key_policies={})",
+            "DbPlan({}, trees={}, localized={}, key_policies={})",
             self.kind,
-            self.localized.lock().as_ref().map(|s| s.components()),
+            self.trees.lock().len(),
+            self.localized.lock().len(),
             self.key.lock().len(),
         )
     }
@@ -198,7 +209,8 @@ impl DbPlan {
             key_configs,
             ctx: ctx.clone(),
             stats,
-            localized: Mutex::new(None),
+            trees: Mutex::new(Vec::new()),
+            localized: Mutex::new(Vec::new()),
             key: Mutex::new(Vec::new()),
         }
     }
@@ -321,7 +333,9 @@ impl DbPlan {
 
     /// Instantiates the sampling task for a resolved route, building and
     /// memoizing the route's sampler on first use. `route` must come
-    /// from [`DbPlan::route`] on the same plan with the same generator.
+    /// from [`DbPlan::route`] on the same plan with the same generator;
+    /// `generator` is the request's name for `gen`, the key under which
+    /// chain trees are shared between requests.
     ///
     /// The key-repair sampler is built with *the generator's own* group
     /// policy ([`ChainGenerator::key_repair_policy`]) — never a fixed
@@ -331,25 +345,21 @@ impl DbPlan {
     pub fn task(
         &self,
         route: PlanKind,
+        generator: &str,
         gen: Arc<dyn ChainGenerator>,
     ) -> Result<SampleTask, EngineError> {
         Ok(match route {
             PlanKind::Monolithic => SampleTask::Monolithic {
-                ctx: self.ctx.clone(),
-                gen,
+                tree: memo(&self.trees, generator, || {
+                    ChainTree::new(self.ctx.clone(), gen.clone())
+                }),
             },
-            PlanKind::Localized => {
-                let mut memo = self.localized.lock();
-                let sampler = memo
-                    .get_or_insert_with(|| {
-                        Arc::new(
-                            ComponentSampler::new(&self.ctx)
-                                .expect("route() checked the denial fragment"),
-                        )
-                    })
-                    .clone();
-                SampleTask::Localized { sampler, gen }
-            }
+            PlanKind::Localized => SampleTask::Localized {
+                sampler: memo(&self.localized, generator, || {
+                    ComponentSampler::new(&self.ctx, gen.clone())
+                        .expect("route() checked the denial fragment")
+                }),
+            },
             PlanKind::KeyRepair => {
                 let policy = gen.key_repair_policy().expect("route() checked");
                 let mut memo = self.key.lock();
@@ -379,25 +389,45 @@ impl DbPlan {
     }
 }
 
+/// Generators per plan whose chain samplers are memoized. Requests may
+/// name any number of `trust:N/D` variants and each tree may grow to
+/// `TREE_BUDGET` entries, so later generators get a sampler shared by
+/// one request's chunks only.
+const MEMO_GENERATORS: usize = 8;
+
+/// The entry for `generator` in a per-generator memo, built on first use.
+fn memo<T>(
+    list: &Mutex<Vec<(String, Arc<T>)>>,
+    generator: &str,
+    build: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut list = list.lock();
+    if let Some((_, v)) = list.iter().find(|(g, _)| g == generator) {
+        return v.clone();
+    }
+    let v = Arc::new(build());
+    if list.len() < MEMO_GENERATORS {
+        list.push((generator.to_string(), v.clone()));
+    }
+    v
+}
+
 /// One sampling strategy instantiated for a request, executable in
 /// fixed-size chunks on the [`crate::pool::SamplerPool`]. Each variant's
 /// chunk run is a pure function of `(chunk seed, walks)`, which is what
 /// keeps answers bit-identical across pool sizes.
 #[derive(Clone)]
 pub enum SampleTask {
-    /// Full-database chain walks ([`sample::sample_tally`]).
+    /// Full-database chain walks down the version's memoized tree.
     Monolithic {
-        /// The sampling snapshot.
-        ctx: Arc<RepairContext>,
-        /// The request's generator.
-        gen: Arc<dyn ChainGenerator>,
+        /// The chain tree of the sampling snapshot and the generator.
+        tree: Arc<ChainTree>,
     },
     /// Per-component chain walks composed under a deletion overlay.
     Localized {
-        /// The prebuilt per-component sub-contexts.
+        /// The per-component chain trees for the request's
+        /// (component-local) generator.
         sampler: Arc<ComponentSampler>,
-        /// The request's (component-local) generator.
-        gen: Arc<dyn ChainGenerator>,
     },
     /// Group-wise key repair with the chain-equivalent outcome policy.
     KeyRepair {
@@ -407,11 +437,11 @@ pub enum SampleTask {
 }
 
 impl SampleTask {
-    /// Convenience constructor for the universal fallback path.
+    /// The universal fallback path over a fresh chain tree (shared by
+    /// the chunks of one run only).
     pub fn monolithic(ctx: &Arc<RepairContext>, gen: &Arc<dyn ChainGenerator>) -> SampleTask {
         SampleTask::Monolithic {
-            ctx: ctx.clone(),
-            gen: gen.clone(),
+            tree: Arc::new(ChainTree::new(ctx.clone(), gen.clone())),
         }
     }
 
@@ -433,13 +463,13 @@ impl SampleTask {
         chunk_seed: u64,
     ) -> Result<SampleTally, String> {
         match self {
-            SampleTask::Monolithic { ctx, gen } => {
+            SampleTask::Monolithic { tree } => {
                 let mut rng = StdRng::seed_from_u64(chunk_seed);
-                sample::sample_tally(ctx, gen.as_ref(), query, walks, &mut rng)
+                tree.sample_tally(query, walks, &mut rng)
                     .map_err(|e| e.to_string())
             }
-            SampleTask::Localized { sampler, gen } => sampler
-                .sample_tally(gen.as_ref(), query, walks, chunk_seed)
+            SampleTask::Localized { sampler } => sampler
+                .sample_tally(query, walks, chunk_seed)
                 .map_err(|e| e.to_string()),
             SampleTask::KeyRepair { exec } => {
                 let mut rng = StdRng::seed_from_u64(chunk_seed);
@@ -568,7 +598,9 @@ mod tests {
             plan.route(trust.as_ref(), None).unwrap(),
             PlanKind::KeyRepair
         );
-        let task = plan.task(PlanKind::KeyRepair, trust.clone()).unwrap();
+        let task = plan
+            .task(PlanKind::KeyRepair, "trust", trust.clone())
+            .unwrap();
         let query = parser::parse_query("(y) <- R('a', y)").unwrap();
         let tally = task.run_chunk(&query, 4000, 5).unwrap();
         for (tuple, p) in tally.frequencies() {
@@ -576,7 +608,7 @@ mod tests {
         }
         // Distinct policies memoize side by side on one plan.
         let uniform: Arc<dyn ChainGenerator> = Arc::new(UniformGenerator::new());
-        let task = plan.task(PlanKind::KeyRepair, uniform).unwrap();
+        let task = plan.task(PlanKind::KeyRepair, "uniform", uniform).unwrap();
         let tally = task.run_chunk(&query, 4000, 5).unwrap();
         for (tuple, p) in tally.frequencies() {
             assert!(
@@ -589,7 +621,7 @@ mod tests {
         // policy instead of serving a wrong distribution.
         let triple_ctx = ctx("R(a,1). R(a,2). R(a,3).", "R(x,y), R(x,z) -> y = z.");
         let plan3 = DbPlan::build(&triple_ctx);
-        assert!(plan3.task(PlanKind::KeyRepair, trust).is_err());
+        assert!(plan3.task(PlanKind::KeyRepair, "trust", trust).is_err());
 
         // Component-local generators *without* a key policy fall back to
         // localized automatically, and may not force key-repair.
@@ -641,7 +673,7 @@ mod tests {
         ]
         .into_iter()
         .map(|route| {
-            let task = plan.task(route, gen.clone()).unwrap();
+            let task = plan.task(route, "uniform", gen.clone()).unwrap();
             assert_eq!(task.plan(), route);
             task.run_chunk(&query, 1500, 99).unwrap().frequencies()
         })
@@ -727,7 +759,7 @@ mod tests {
         ]
         .into_iter()
         .map(|route| {
-            let task = plan.task(route, gen.clone()).unwrap();
+            let task = plan.task(route, "uniform", gen.clone()).unwrap();
             task.run_chunk(&query, 1500, 11).unwrap().frequencies()
         })
         .collect();
@@ -750,5 +782,27 @@ mod tests {
             assert_eq!(PlanKind::parse(kind.as_str()), Some(kind));
         }
         assert_eq!(PlanKind::parse("auto"), None);
+    }
+
+    #[test]
+    fn chain_trees_are_shared_per_generator_string_up_to_a_cap() {
+        let plan = DbPlan::build(&ctx("T(a,b).", "T(x,y) -> R(x,y)."));
+        let tree = |name: &str| match plan
+            .task(PlanKind::Monolithic, name, by_name(name))
+            .unwrap()
+        {
+            SampleTask::Monolithic { tree } => tree,
+            other => panic!("{other:?}"),
+        };
+        let names: Vec<String> = (1..=MEMO_GENERATORS + 2)
+            .map(|k| format!("trust:1/{k}"))
+            .collect();
+        for name in &names {
+            tree(name);
+        }
+        for (k, name) in names.iter().enumerate() {
+            let shared = Arc::ptr_eq(&tree(name), &tree(name));
+            assert_eq!(shared, k < MEMO_GENERATORS, "{name}");
+        }
     }
 }

@@ -375,7 +375,7 @@ mod tests {
             crate::planner::PlanKind::Localized,
             crate::planner::PlanKind::KeyRepair,
         ] {
-            let task = plan.task(route, gen.clone()).unwrap();
+            let task = plan.task(route, "uniform", gen.clone()).unwrap();
             let reference = SamplerPool::new(1).run(&task, &query, 300, 42).unwrap();
             for workers in [2, 3, 8] {
                 let pool = SamplerPool::new(workers);
@@ -398,7 +398,7 @@ mod tests {
             crate::planner::PlanKind::Localized,
             crate::planner::PlanKind::KeyRepair,
         ] {
-            let task = plan.task(route, gen.clone()).unwrap();
+            let task = plan.task(route, "uniform", gen.clone()).unwrap();
             for walks in [1, CHUNK_WALKS - 1, CHUNK_WALKS] {
                 let bypass = pool.run(&task, &query, walks, 9).unwrap();
                 let pooled = pool.run_batched(&task, &query, walks, 9, 1).unwrap();
@@ -475,6 +475,32 @@ mod tests {
         // Workers survived the panic; normal requests keep working.
         let tally = pool.run_monolithic(&ctx, &gen, &query, 100, 2).unwrap();
         assert_eq!(tally.walks, 100);
+
+        // A panic while a shared chain tree builds a node stores nothing:
+        // the next run on the same tree succeeds, bit-identically.
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let trip = armed.clone();
+        let flaky: Arc<dyn ChainGenerator> = Arc::new(ocqa_core::WeightFnGenerator::new(
+            "flaky",
+            move |state, ops| {
+                if state.depth() == 1 && trip.swap(false, Ordering::SeqCst) {
+                    panic!("boom below the root");
+                }
+                UniformGenerator::new().weights(state, ops).unwrap()
+            },
+        ));
+        let task = SampleTask::monolithic(&ctx, &flaky);
+        let err = pool.run(&task, &query, 200, 9).unwrap_err();
+        assert!(err.to_string().contains("panicked"), "{err}");
+        assert!(!armed.load(Ordering::SeqCst));
+        let again = pool.run(&task, &query, 200, 9).unwrap();
+        let want = pool.run_monolithic(&ctx, &gen, &query, 200, 9).unwrap();
+        assert_eq!(again.counts, want.counts);
+        assert_eq!(again.walks, 200);
+        assert!(
+            again.counters.cached_steps > 0,
+            "the tree kept its sound nodes"
+        );
     }
 
     #[test]

@@ -782,6 +782,13 @@ impl EngineResponse {
                     o.set("retry", Json::from(true));
                     o.set("epoch", Json::from(*epoch));
                 }
+                if let EngineError::ConstraintTooWide {
+                    constraint, limit, ..
+                } = e
+                {
+                    o.set("constraint", Json::from(constraint.as_str()));
+                    o.set("limit", Json::from(*limit as u64));
+                }
                 o
             }
         }

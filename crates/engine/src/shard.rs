@@ -287,6 +287,9 @@ impl ShardEngine {
     /// which must stay a hard error, never a silent overwrite.
     pub fn install_snapshot(&self, img: TransferImage) -> Result<DatabaseInfo, EngineError> {
         let t0 = Instant::now();
+        let sigma = ocqa_logic::parser::parse_constraints(&img.constraints)
+            .map_err(|e| EngineError::Parse(e.to_string()))?;
+        crate::catalog::check_enumerable(&sigma)?;
         let mut catalog = self.catalog.write();
         if catalog.info(&img.name).is_ok() {
             return Err(EngineError::DatabaseExists(img.name));
@@ -599,7 +602,7 @@ impl ShardEngine {
         // permanently shrink the shard's capacity).
         let sample_t = Instant::now();
         let result = plan
-            .task(route, gen)
+            .task(route, generator, gen)
             .and_then(|task| self.pool.run(&task, &prepared.query, walks, seed))
             .map(Arc::new);
         trace.sample = sample_t.elapsed();
@@ -614,6 +617,7 @@ impl ShardEngine {
         };
         // Counters move only on success: a rejected or failed request
         // must inflate neither `answers` nor `walks`.
+        self.metrics.record_chain(route, &tally);
         self.walks.fetch_add(walks, Ordering::Relaxed);
         self.answers.fetch_add(1, Ordering::Relaxed);
         let sample_us = trace.sample.as_micros().min(u128::from(u64::MAX)) as u64;
@@ -1084,6 +1088,54 @@ mod tests {
     }
 
     #[test]
+    fn updates_and_drops_release_the_old_versions_chain_tree() {
+        let e = shard();
+        e.create(
+            "inc",
+            "Order(1,7). Order(2,8). Order(3,9). Customer(7).",
+            "Order(o, c) -> Customer(c).",
+        )
+        .unwrap();
+        let query = QueryRef::Text("(c) <- Customer(c)".into());
+        let answer = |seed| {
+            e.answer(
+                "inc",
+                &query,
+                "uniform",
+                0.1,
+                0.1,
+                seed,
+                Some(PlanKind::Monolithic),
+            )
+            .unwrap()
+        };
+        // The tree the version's plan memoizes for `uniform`.
+        let tree = || {
+            let (_ctx, _v, plan) = e.catalog().read().snapshot("inc").unwrap();
+            let gen = generator_by_name("uniform").unwrap();
+            match plan.task(PlanKind::Monolithic, "uniform", gen).unwrap() {
+                crate::planner::SampleTask::Monolithic { tree } => tree,
+                other => panic!("{other:?}"),
+            }
+        };
+        answer(1);
+        let built = tree();
+        assert!(built.nodes() > 0, "the answer filled the version's tree");
+        answer(2);
+        assert!(Arc::ptr_eq(&built, &tree()), "one tree per version");
+        let old = Arc::downgrade(&built);
+        drop(built);
+        e.update("inc", "Customer(8).", "").unwrap();
+        assert!(old.upgrade().is_none(), "an update releases the old tree");
+
+        answer(1);
+        let old = Arc::downgrade(&tree());
+        assert!(old.upgrade().is_some_and(|t| t.nodes() > 0));
+        e.drop_db("inc").unwrap();
+        assert!(old.upgrade().is_none(), "a drop releases the tree");
+    }
+
+    #[test]
     fn stale_answer_insert_after_update_is_dropped() {
         // The in-flight race, deterministically interleaved: a slow
         // answer snapshots version v1, an update purges and floors the
@@ -1100,7 +1152,7 @@ mod tests {
         let (_ctx, v1, plan) = e.catalog().read().snapshot("prefs").unwrap();
         // The "slow sampler" finishes its work against the v1 snapshot…
         let gen = generator_by_name("uniform").unwrap();
-        let task = plan.task(PlanKind::Localized, gen).unwrap();
+        let task = plan.task(PlanKind::Localized, "uniform", gen).unwrap();
         let query =
             Arc::new(ocqa_logic::parser::parse_query("(x) <- exists y: Pref(x,y)").unwrap());
         let tally = Arc::new(e.pool().run(&task, &query, 64, 3).unwrap());
@@ -1217,7 +1269,7 @@ mod tests {
         // cache first, flight second, mirroring the leader path, so a
         // late-arriving follower hits the cache instead of resampling.
         std::thread::sleep(Duration::from_millis(100));
-        let task = plan.task(route, gen).unwrap();
+        let task = plan.task(route, "uniform", gen).unwrap();
         let query = Arc::new(ocqa_logic::parser::parse_query(query_text).unwrap());
         let tally = Arc::new(e.pool().run(&task, &query, 150, 7).unwrap());
         e.store_answer(key, tally.clone());

@@ -316,6 +316,75 @@ fn subscription_gauges_sum_exactly_once_through_the_router() {
 }
 
 #[test]
+fn chain_counters_are_pinned_and_merge_through_the_router() {
+    // One shard, one worker: chunks run in order, so every counter is
+    // exact. The TGD database's chain is a root and two leaves; the
+    // failing one (R(a) → T(a), T(a) → ⊥) ends half its walks in a
+    // failing leaf.
+    let addrs = spawn_upstreams(1, 1, 16);
+    let proxy = RouteProxy::connect(addrs).expect("connect router");
+    let reference = Engine::new(EngineConfig {
+        workers: 1,
+        cache_capacity: 16,
+        ..EngineConfig::default()
+    });
+    let answer = |db: &str, seed: u64| {
+        format!(
+            r#"{{"op":"answer","db":"{db}","query":"(x) <- R(x) | Customer(x)","plan":"monolithic","seed":{seed}}}"#
+        )
+    };
+    let workload = [
+        r#"{"op":"create_db","name":"inc","facts":"Order(1,7). Customer(8).","constraints":"Order(o, c) -> Customer(c)."}"#.to_string(),
+        r#"{"op":"create_db","name":"fail","facts":"R(a).","constraints":"R(x) -> T(x). T(x) -> false."}"#.to_string(),
+        answer("inc", 1),
+        answer("inc", 2),
+        answer("fail", 1),
+    ];
+    let mut failed = 0;
+    for line in &workload {
+        let routed = proxy.handle_line(line);
+        assert_eq!(routed, reference.handle_line(line).to_string());
+        let v = json::parse(&routed).unwrap();
+        failed += v.get("failed_walks").and_then(|j| j.as_u64()).unwrap_or(0);
+    }
+    assert!(failed > 0 && failed < 150, "some walks of `fail` failed");
+    let mono = PLANS
+        .iter()
+        .position(|p| *p == PlanKind::Monolithic)
+        .unwrap();
+    for line in [
+        proxy.handle_line(r#"{"op":"metrics"}"#),
+        reference.handle_line(r#"{"op":"metrics"}"#).to_string(),
+    ] {
+        let v = json::parse(&line).unwrap();
+        let total = MetricsSnapshot::from_json(v.get("total").unwrap()).unwrap();
+        let c = total.chain[mono];
+        // Every walk takes one step; only the first walk of each
+        // database's first answer finds its root uncached.
+        assert_eq!(c.steps, 450, "{line}");
+        assert_eq!(c.cached_steps, 448, "{line}");
+        assert_eq!(c.nodes_built, 6, "root and two leaves each: {line}");
+        assert_eq!(c.failed_walks, failed);
+        for (i, other) in total.chain.iter().enumerate() {
+            if i != mono {
+                assert_eq!(*other, Default::default(), "no other plan walks");
+            }
+        }
+    }
+    let text = ocqa_engine::render_prometheus(proxy.as_ref());
+    for want in [
+        "# TYPE ocqa_chain_steps_total counter".to_string(),
+        r#"ocqa_chain_steps_total{plan="monolithic",shard="0"} 450"#.to_string(),
+        r#"ocqa_chain_cached_steps_total{plan="monolithic",shard="0"} 448"#.to_string(),
+        r#"ocqa_chain_nodes_built_total{plan="monolithic",shard="0"} 6"#.to_string(),
+        format!(r#"ocqa_chain_failed_walks_total{{plan="monolithic",shard="0"}} {failed}"#),
+        r#"ocqa_chain_steps_total{plan="key-repair",shard="0"} 0"#.to_string(),
+    ] {
+        assert!(text.contains(&want), "{want} missing from:\n{text}");
+    }
+}
+
+#[test]
 fn stats_report_uptime_and_build_version() {
     let engine = Engine::new(EngineConfig::default());
     let line = engine.handle_line(r#"{"op":"stats"}"#).to_string();
